@@ -94,7 +94,7 @@ const char* kCanTagNames[] = {"RouteReq",   "RouteResp",     "JoinReq",
                               "JoinResp",   "ZoneUpdate",    "DimLoadReport",
                               "NeighborHint"};
 const char* kRnTreeTagNames[] = {"AggUpdate", "TokenPass", "TokenAck",
-                                 "SearchResult"};
+                                 "SearchResult", "AggAck"};
 const char* kGridTagNames[] = {
     "SubmitJob",  "SubmitAck",      "JobToOwner", "JobToOwnerAck",
     "DispatchJob", "DispatchResp",  "Heartbeat",  "HeartbeatAck",

@@ -1,6 +1,6 @@
 #pragma once
-// RN-Tree protocol messages: bottom-up aggregation updates and the token-DFS
-// extended search.
+// RN-Tree protocol messages: bottom-up aggregation updates (acknowledged by
+// the parent) and the token-DFS extended search.
 
 #include <cstdint>
 #include <vector>
@@ -19,21 +19,41 @@ enum MsgType : std::uint16_t {
   kTokenPass = net::kTagRnTreeBase + 1,
   kTokenAck = net::kTagRnTreeBase + 2,
   kSearchResult = net::kTagRnTreeBase + 3,
+  kAggAck = net::kTagRnTreeBase + 4,
 };
 
-/// Child -> parent, periodic: "here is my subtree's summary".
+/// Child -> parent, periodic RPC: "here is my subtree's summary". `key` is
+/// the parent key the sender resolved its cached parent for.
 struct AggUpdate final : net::Message {
   static constexpr std::uint16_t kType = kAggUpdate;
 
-  AggUpdate(Peer s, Aggregate a) : Message(kType), sender(s), aggregate(a) {}
+  AggUpdate(Peer s, Guid k, Aggregate a)
+      : Message(kType), sender(s), key(k), aggregate(a) {}
 
   Peer sender;
+  Guid key;
   Aggregate aggregate;
 
   [[nodiscard]] std::size_t payload_size() const noexcept override {
-    return 12 + kMaxResources * 8 + 12;
+    return 12 + 8 + kMaxResources * 8 + 12;
   }
   PGRID_MESSAGE_CLONE(AggUpdate)
+};
+
+/// Parent -> child, reply to AggUpdate: whether the receiver owns the key
+/// (is its Chord successor by its own predecessor). `owner == false` tells
+/// the child its cached parent is stale.
+struct AggAck final : net::Message {
+  static constexpr std::uint16_t kType = kAggAck;
+
+  explicit AggAck(bool o) : Message(kType), owner(o) {}
+
+  bool owner;
+
+  [[nodiscard]] std::size_t payload_size() const noexcept override {
+    return 1;
+  }
+  PGRID_MESSAGE_CLONE(AggAck)
 };
 
 /// A matchmaking candidate discovered by the search.

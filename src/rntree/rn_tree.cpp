@@ -73,15 +73,17 @@ void RnTreeService::stop() {
 
 // --- tree structure ---------------------------------------------------------
 
-int RnTreeService::level() const {
-  const Guid self = chord_.id();
+bool RnTreeService::owns(Guid key) const {
   const chord::Peer pred = chord_.predecessor();
-  if (!pred.valid() || pred.addr == chord_.addr()) return 0;
+  if (!pred.valid() || pred.addr == chord_.addr()) return true;
+  return in_interval_oc(key, pred.id, chord_.id());
+}
+
+int RnTreeService::level() const {
+  const std::uint64_t self = chord_.id().value();
   for (int l = 0; l <= 64; ++l) {
     // We represent the region iff we are the Chord successor of its low key.
-    if (in_interval_oc(Guid{region_low(self.value(), l)}, pred.id, self)) {
-      return l;
-    }
+    if (owns(Guid{region_low(self, l)})) return l;
   }
   return 64;  // unreachable: l == 64 gives low == self, always in (pred, self]
 }
@@ -136,16 +138,44 @@ void RnTreeService::do_aggregation_push() {
     parent_ = kNoPeer;  // we are the root
     return;
   }
-  // Refresh the parent (soft state: the tree self-heals under churn) and
-  // push our aggregate to it.
-  chord_.lookup(parent_key(), [this](chord::Peer parent, int /*hops*/) {
+  // The parent key moves only when our predecessor does. While it holds,
+  // the cached parent is validated by its ack rather than by a fresh lookup;
+  // otherwise resolve it once (soft state: the tree self-heals under churn).
+  const Guid key = parent_key();
+  if (parent_.valid() && key == parent_key_) {
+    push_to_parent();
+    return;
+  }
+  ++stats_.parent_lookups;
+  chord_.lookup(key, [this, key](chord::Peer parent, int /*hops*/) {
     if (!running_) return;
     if (!parent.valid() || parent.addr == chord_.addr()) return;
     parent_ = parent;
-    rpc_.send(parent.addr,
-              std::make_unique<AggUpdate>(chord_.self_peer(),
-                                          subtree_aggregate()));
+    parent_key_ = key;
+    push_to_parent();
   });
+}
+
+void RnTreeService::push_to_parent() {
+  const Peer parent = parent_;
+  rpc_.call(parent.addr,
+            std::make_unique<AggUpdate>(chord_.self_peer(), parent_key_,
+                                        subtree_aggregate()),
+            config_.rpc_timeout, [this, parent](net::MessagePtr reply) {
+              if (reply == nullptr) {
+                ++stats_.parent_timeouts;
+                drop_parent(parent);
+              } else if (!net::msg_cast<AggAck>(reply.get())->owner) {
+                // The parent no longer owns the key (a joiner took over the
+                // region): look it up again next round.
+                ++stats_.parent_rejects;
+                drop_parent(parent);
+              }
+            });
+}
+
+void RnTreeService::drop_parent(Peer stale) {
+  if (parent_ == stale) parent_ = kNoPeer;
 }
 
 // --- search ------------------------------------------------------------------
@@ -308,7 +338,7 @@ void RnTreeService::forward_token(std::unique_ptr<TokenPass> token,
               if (!contains_id(backup->visited, next.id)) {
                 backup->visited.push_back(next.id);
               }
-              if (parent_ == next) parent_ = kNoPeer;
+              drop_parent(next);
               children_.erase(next.addr);
               process_token(clone_token(*backup));
             });
@@ -341,7 +371,7 @@ bool RnTreeService::handle(net::NodeAddr from, net::MessagePtr& msg) {
   }
   switch (msg->type()) {
     case kAggUpdate:
-      on_agg_update(*net::msg_cast<AggUpdate>(msg.get()));
+      on_agg_update(from, *net::msg_cast<AggUpdate>(msg.get()));
       return true;
     case kTokenPass:
       on_token(from, msg);
@@ -354,7 +384,12 @@ bool RnTreeService::handle(net::NodeAddr from, net::MessagePtr& msg) {
   }
 }
 
-void RnTreeService::on_agg_update(const AggUpdate& msg) {
+void RnTreeService::on_agg_update(net::NodeAddr from, const AggUpdate& msg) {
+  // Only the key's owner adopts the sender; a stale parent refuses, which
+  // sends the child back to a lookup.
+  const bool owner = owns(msg.key);
+  rpc_.reply(from, msg, std::make_unique<AggAck>(owner));
+  if (!owner) return;
   ChildState& child = children_[msg.sender.addr];
   child.id = msg.sender.id;
   child.aggregate = msg.aggregate;

@@ -6,11 +6,13 @@
 // region iff it is the Chord successor of the region's low key, which it can
 // decide from its predecessor pointer alone. A node's level is the largest
 // region it represents; its parent is the representative of the enclosing
-// region, found with one Chord lookup. Expected height is O(log N) for
-// uniform GUIDs.
+// region, found with one Chord lookup and then cached. Expected height is
+// O(log N) for uniform GUIDs.
 //
 // Each node periodically pushes its subtree aggregate (per-resource maxima,
-// node count, minimum load) to its parent. Matchmaking searches are DFS
+// node count, minimum load) to its cached parent. The parent acks whether it
+// still owns the parent key; a refusal or a timeout clears the cache and the
+// next round looks the parent up again. Matchmaking searches are DFS
 // tokens: pruned by child aggregates, ascending toward the root, continuing
 // until k candidates are found (the paper's "extended search").
 
@@ -65,6 +67,12 @@ struct RnTreeStats {
   std::uint64_t tokens_regenerated = 0;
   /// Suspicion-rounds: children past the fixed expiry retained by φ.
   std::uint64_t suspicions = 0;
+  /// Chord lookups started to (re)resolve the parent.
+  std::uint64_t parent_lookups = 0;
+  /// Cached parents dropped because the AggAck said owner=false.
+  std::uint64_t parent_rejects = 0;
+  /// Cached parents dropped because the AggUpdate went unacknowledged.
+  std::uint64_t parent_timeouts = 0;
   RunningStats search_hops;
   RunningStats candidates_found;
 };
@@ -149,6 +157,13 @@ class RnTreeService {
   };
 
   void do_aggregation_push();
+  /// Push the subtree aggregate to the cached parent as an acked RPC.
+  void push_to_parent();
+  /// Forget the cached parent if it is still `stale`.
+  void drop_parent(Peer stale);
+  /// True iff this node is the Chord successor of `key` by its own
+  /// predecessor pointer (a node without one owns everything, as in level()).
+  [[nodiscard]] bool owns(Guid key) const;
   void expire_children();
   /// Token-lease expiry for `old_id`: the walk went silent with the token
   /// (holder crashed after acking custody). Re-issue it under a fresh
@@ -163,7 +178,7 @@ class RnTreeService {
   void forward_token(std::unique_ptr<TokenPass> token, Peer next);
   void finish_search(std::unique_ptr<TokenPass> token);
 
-  void on_agg_update(const AggUpdate& msg);
+  void on_agg_update(net::NodeAddr from, const AggUpdate& msg);
   void on_token(net::NodeAddr from, net::MessagePtr& msg);
   void on_search_result(const SearchResult& msg);
 
@@ -175,7 +190,10 @@ class RnTreeService {
   Rng rng_;
 
   bool running_ = false;
+  // Cached parent and the parent key it was resolved for; valid until the
+  // key changes, the parent refuses or times out, or a token hop to it fails.
   Peer parent_ = kNoPeer;
+  Guid parent_key_;
   // Flat sorted table: scanned on every token descent and aggregation push;
   // iteration order (sorted by address) matches the std::map it replaced.
   FlatMap<net::NodeAddr, ChildState> children_;

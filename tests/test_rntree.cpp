@@ -1,13 +1,19 @@
 // RN-Tree: trie-region construction (levels, parents, single root), O(log N)
-// height, aggregation correctness vs an oracle, and the extended DFS search.
+// height, aggregation correctness vs an oracle, the extended DFS search, the
+// cached parent (validated by AggAck, re-resolved on refusal or timeout), and
+// a Chord-traffic guard on a steady grid cell.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
+#include "chord/messages.h"
 #include "chord/ring.h"
+#include "grid/grid_system.h"
 #include "net/network.h"
+#include "net/rpc.h"
 #include "rntree/rn_tree.h"
 #include "sim/simulator.h"
 
@@ -83,18 +89,6 @@ struct Fixture {
       auto& c = hosts[order[pos % n]]->chord();
       return chord::Peer{c.addr(), c.id()};
     };
-    auto oracle = [&](Guid key) {
-      chord::Peer best = chord::kNoPeer;
-      std::uint64_t best_dist = 0;
-      for (auto& h : hosts) {
-        const std::uint64_t dist = key.clockwise_to(h->chord().id());
-        if (!best.valid() || dist < best_dist) {
-          best = chord::Peer{h->chord().addr(), h->chord().id()};
-          best_dist = dist;
-        }
-      }
-      return best;
-    };
     for (std::size_t pos = 0; pos < n; ++pos) {
       auto& node = hosts[order[pos]]->chord();
       std::vector<chord::Peer> succs;
@@ -108,6 +102,39 @@ struct Fixture {
       }
       node.install_state(peer_at(pos + n - 1), std::move(succs), fingers);
     }
+  }
+
+  /// Not crashed (wiring runs before any Chord node is started).
+  bool live(const RnHost& h) const { return net.alive(h.addr()); }
+
+  /// successor(key) among the live hosts.
+  chord::Peer oracle(Guid key) const {
+    chord::Peer best = chord::kNoPeer;
+    std::uint64_t best_dist = 0;
+    for (const auto& h : hosts) {
+      if (!live(*h)) continue;
+      const std::uint64_t dist = key.clockwise_to(h->chord().id());
+      if (!best.valid() || dist < best_dist) {
+        best = h->chord().self_peer();
+        best_dist = dist;
+      }
+    }
+    return best;
+  }
+
+  void crash(RnHost& h) {
+    net.set_alive(h.addr(), false);
+    h.tree().stop();
+    h.chord().crash();
+  }
+
+  /// Sum of one RnTreeStats counter over the live hosts.
+  std::uint64_t total(std::uint64_t RnTreeStats::*counter) const {
+    std::uint64_t sum = 0;
+    for (const auto& h : hosts) {
+      if (live(*h)) sum += h->tree().stats().*counter;
+    }
+    return sum;
   }
 
   void settle(double seconds) {
@@ -126,6 +153,33 @@ struct Fixture {
       if (h->addr() == a) return h.get();
     }
     return nullptr;
+  }
+
+  /// Every live non-root's cached parent is the oracle successor of its
+  /// parent key, and following parents from any live host reaches the one
+  /// live root without a cycle.
+  void expect_converged_tree() {
+    std::size_t roots = 0;
+    for (auto& h : hosts) {
+      if (!live(*h)) continue;
+      if (h->tree().is_root()) {
+        ++roots;
+        continue;
+      }
+      EXPECT_EQ(h->tree().cached_parent(), oracle(h->tree().parent_key()))
+          << "host " << h->addr();
+      int depth = 0;
+      RnHost* cursor = h.get();
+      while (!cursor->tree().is_root()) {
+        const chord::Peer p = cursor->tree().cached_parent();
+        ASSERT_TRUE(p.valid()) << "host " << cursor->addr();
+        cursor = host_by_addr(p.addr);
+        ASSERT_NE(cursor, nullptr);
+        ASSERT_TRUE(live(*cursor)) << "parent " << p.addr;
+        ASSERT_LT(++depth, 64) << "parent cycle from host " << h->addr();
+      }
+    }
+    EXPECT_EQ(roots, 1u);
   }
 
   struct SearchOutcome {
@@ -362,6 +416,173 @@ TEST(RnTreeAggregateUnit, MergeTakesMaxAndMin) {
   // Merging an empty aggregate changes nothing.
   a.merge(Aggregate{});
   EXPECT_EQ(a.nodes, 5u);
+}
+
+// --- the cached parent ---------------------------------------------------------
+
+/// A bare endpoint that sends hand-made AggUpdates and keeps the ack.
+class Probe final : public net::MessageHandler {
+ public:
+  explicit Probe(net::Network& network)
+      : addr_(network.add_handler(this)), rpc_(network, addr_) {}
+
+  void on_message(net::NodeAddr /*from*/, net::MessagePtr msg) override {
+    rpc_.consume_reply(msg);
+  }
+
+  /// Push an update for `key` to `to`; `ack` is set once the reply lands.
+  void push(net::NodeAddr to, Guid key, std::optional<bool>& ack) {
+    rpc_.call(to,
+              std::make_unique<AggUpdate>(Peer{addr_, Guid::of(0x9999)}, key,
+                                          Aggregate{}),
+              sim::SimTime::seconds(2.0), [&ack](net::MessagePtr reply) {
+                if (reply != nullptr) {
+                  ack = net::msg_cast<AggAck>(reply.get())->owner;
+                }
+              });
+  }
+
+ private:
+  net::NodeAddr addr_;
+  net::RpcEndpoint rpc_;
+};
+
+TEST(RnTreeParentCache, StaticRingStopsLookingUpParents) {
+  Fixture fx{21};
+  fx.build(64);
+  const std::uint64_t lookups = fx.total(&RnTreeStats::parent_lookups);
+  EXPECT_GT(lookups, 0u);
+  fx.settle(60);  // 30 more aggregation rounds per node
+  EXPECT_EQ(fx.total(&RnTreeStats::parent_lookups), lookups);
+  EXPECT_EQ(fx.total(&RnTreeStats::parent_rejects), 0u);
+  EXPECT_EQ(fx.total(&RnTreeStats::parent_timeouts), 0u);
+  fx.expect_converged_tree();
+}
+
+TEST(RnTreeParentCache, ChildrenReResolveAfterParentCrash) {
+  Fixture fx{22};
+  fx.build(64);
+  // The non-root with the most children.
+  RnHost* victim = nullptr;
+  for (auto& h : fx.hosts) {
+    if (h->tree().is_root()) continue;
+    if (victim == nullptr ||
+        h->tree().child_count() > victim->tree().child_count()) {
+      victim = h.get();
+    }
+  }
+  ASSERT_NE(victim, nullptr);
+  ASSERT_GT(victim->tree().child_count(), 0u);
+  std::vector<RnHost*> children;
+  for (auto& h : fx.hosts) {
+    if (h->tree().cached_parent().addr == victim->addr()) {
+      children.push_back(h.get());
+    }
+  }
+  ASSERT_FALSE(children.empty());
+  const std::uint64_t lookups = fx.total(&RnTreeStats::parent_lookups);
+
+  fx.crash(*victim);
+  fx.settle(60);
+  std::uint64_t timeouts = 0;
+  for (RnHost* c : children) {
+    timeouts += c->tree().stats().parent_timeouts;
+    EXPECT_NE(c->tree().cached_parent().addr, victim->addr());
+  }
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_GT(fx.total(&RnTreeStats::parent_lookups), lookups);
+  fx.expect_converged_tree();
+}
+
+TEST(RnTreeParentCache, JoinerTakingOverTheRegionBecomesTheParent) {
+  Fixture fx{23};
+  fx.build(64);
+  // A child whose parent key lies strictly before its parent's id, so a
+  // joiner placed exactly at the key becomes the key's new successor
+  // without moving the child's own predecessor (and so its parent key).
+  RnHost* child = nullptr;
+  for (auto& h : fx.hosts) {
+    if (h->tree().is_root()) continue;
+    if (h->tree().cached_parent().id != h->tree().parent_key()) {
+      child = h.get();
+      break;
+    }
+  }
+  ASSERT_NE(child, nullptr);
+  const Peer old_parent = child->tree().cached_parent();
+  const Guid key = child->tree().parent_key();
+  ASSERT_EQ(fx.oracle(key), old_parent);
+
+  fx.hosts.push_back(std::make_unique<RnHost>(
+      fx.net, key, chord::ChordConfig{}, RnTreeConfig{}, fx.rng.fork(999)));
+  RnHost& joiner = *fx.hosts.back();
+  bool joined = false;
+  joiner.chord().join(fx.hosts.front()->chord().self_peer(),
+                      [&joined](bool ok) { joined = ok; });
+  joiner.tree().start();
+  fx.settle(60);
+  ASSERT_TRUE(joined);
+
+  EXPECT_EQ(child->tree().parent_key(), key);
+  EXPECT_EQ(child->tree().cached_parent(), joiner.chord().self_peer());
+  EXPECT_GT(child->tree().stats().parent_rejects, 0u);
+  fx.expect_converged_tree();
+}
+
+TEST(RnTreeParentCache, MisdirectedUpdateIsNotRecordedAsChild) {
+  Fixture fx{24};
+  fx.build(16);
+  RnHost& target = *fx.hosts[3];
+  const chord::Peer pred = target.chord().predecessor();
+  ASSERT_TRUE(pred.valid());
+  Probe probe(fx.net);
+
+  // The predecessor's id lies outside (pred, self]: not ours to adopt.
+  const std::size_t before = target.tree().child_count();
+  std::optional<bool> refused;
+  probe.push(target.addr(), pred.id, refused);
+  fx.settle(1);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_FALSE(*refused);
+  EXPECT_EQ(target.tree().child_count(), before);
+
+  // Control: our own id is ours, and the sender is adopted.
+  std::optional<bool> accepted;
+  probe.push(target.addr(), target.chord().id(), accepted);
+  fx.settle(1);
+  ASSERT_TRUE(accepted.has_value());
+  EXPECT_TRUE(*accepted);
+  EXPECT_EQ(target.tree().child_count(), before + 1);
+}
+
+// Traffic guard: a fixed-seed 256-node RN-tree steady cell (the paper's
+// protocol: light maintenance, load 0.8, exp(100 s) jobs). Resolving the
+// parent by a Chord lookup every aggregation round sent 463530 NextHopReq
+// here; with the cached parent it is 25093 (job-owner lookups and finger
+// fixes). The bound keeps the per-round lookup from coming back unnoticed.
+TEST(RnTreeTraffic, SteadyCellChordLookupsStayBounded) {
+  constexpr std::size_t kNodes = 256;
+  workload::WorkloadSpec spec;
+  spec.node_count = kNodes;
+  spec.job_count = 1280;
+  spec.node_mix = workload::Mix::kMixed;
+  spec.job_mix = workload::Mix::kMixed;
+  spec.constraint_probability = 0.4;
+  spec.mean_runtime_sec = 100.0;
+  spec.mean_interarrival_sec = 100.0 / (0.8 * kNodes);
+  spec.seed = 41;
+  grid::GridConfig config;
+  config.kind = grid::MatchmakerKind::kRnTree;
+  config.seed = 43;
+  config.light_maintenance = true;
+  config.client.resubmit_base_sec = 1e9;
+  config.horizon_slack_sec = 150000.0;
+
+  grid::GridSystem system(config, workload::generate(spec));
+  system.run();
+  ASSERT_TRUE(system.finished());
+  EXPECT_EQ(system.collector().completed_count(), spec.job_count);
+  EXPECT_LT(system.net_stats().sent_of(chord::kNextHopReq), 40000u);
 }
 
 // Property: single-root and bounded height across sizes.
